@@ -9,6 +9,7 @@ can assert on shapes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401
 
@@ -184,6 +185,22 @@ class ExperimentResult:
             result.series[name] = [tuple(p) for p in points]
         return result
 
+    def series_items(self) -> List[Tuple[str, List[Tuple[float, float]]]]:
+        """The series in name order, digit runs compared as numbers.
+
+        Text renderings list series in this order, not insertion order:
+        a result read back from a store has lost its insertion order
+        (``result.json`` sorts its keys), and only an order derived from
+        the names themselves renders fresh and cached runs identically.
+        """
+
+        def key(item):
+            parts: List[object] = re.split(r"(\d+)", item[0])
+            parts[1::2] = [int(part) for part in parts[1::2]]
+            return parts, item[0]
+
+        return sorted(self.series.items(), key=key)
+
     def render(self) -> str:
         """Human-readable rendering of all tables, series and notes."""
         lines = [f"=== {self.experiment}: {self.description} ==="]
@@ -193,7 +210,7 @@ class ExperimentResult:
         for table in self.tables:
             lines.append("")
             lines.append(table.render())
-        for name, points in self.series.items():
+        for name, points in self.series_items():
             lines.append("")
             lines.append(f"series {name}: {len(points)} points " + sparkline(points))
         for note in self.notes:

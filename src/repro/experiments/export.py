@@ -100,7 +100,7 @@ def result_to_markdown(result: ExperimentResult, heading: str) -> str:
     for table in result.tables:
         lines.append(table_to_markdown(table))
         lines.append("")
-    for name, points in result.series.items():
+    for name, points in result.series_items():
         lines.append(f"- series `{name}`: {len(points)} points {sparkline(points)}")
     if result.series:
         lines.append("")

@@ -28,11 +28,6 @@ var)::
 
 The first matching clause wins. Example: ``2=raise+5=crash+8=hang:60``
 injects one raising run, one worker crash and one hang into a batch.
-
-This generalises the single-purpose ``REPRO_SWEEP_FAULT_AFTER`` kill
-hook (still supported — see :data:`repro.experiments.runner.FAULT_ENV`),
-which kills the *whole sweep* after N runs; a fault plan instead breaks
-*individual runs* so the per-run error policy can be exercised.
 """
 
 from __future__ import annotations

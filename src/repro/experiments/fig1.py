@@ -3,9 +3,10 @@
 The paper's opening experiment: under standard IEEE 802.11 with a
 greedy source, a 3-hop chain keeps relay buffers in check while a
 4-hop chain's first relay builds up until saturation, with roughly
-half the end-to-end throughput. We run both chains in the 1-hop
-sensing regime (the testbed regime, see DESIGN.md) and report buffer
-traces, mean occupancies and throughputs.
+half the end-to-end throughput. We run both chains in the testbed's
+1-hop sensing regime — ``TESTBED_SENSE_M`` = 350 m sensing at 200 m
+node spacing — and report buffer traces, mean occupancies and
+throughputs.
 """
 
 from __future__ import annotations

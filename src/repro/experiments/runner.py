@@ -38,7 +38,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -224,20 +223,6 @@ class WorkerRunError(RuntimeError):
     """A worker's exception could not be pickled back; carries its text."""
 
 
-class InjectedSweepFault(RuntimeError):
-    """The test-only fault raised by the :data:`FAULT_ENV` kill hook."""
-
-
-#: Setting this env var to N makes :meth:`SweepRunner.run` raise
-#: :class:`InjectedSweepFault` right after the N-th *executed* (non-
-#: cached) run has been completed, reported and checkpointed — the CI
-#: ``resume-smoke`` job uses it to kill a sweep mid-flight
-#: deterministically and then resume it against the same store. It kills
-#: the whole sweep; to break individual runs instead, use a
-#: :class:`~repro.experiments.faults.FaultPlan`.
-FAULT_ENV = "REPRO_SWEEP_FAULT_AFTER"
-
-
 def _slug(value: object) -> str:
     """Filesystem-safe rendering of one kwarg value."""
     if isinstance(value, (tuple, list)):
@@ -374,11 +359,6 @@ def _worker_channel_init(channel) -> None:
     _WORKER_CHANNEL = channel
 
 
-#: Inline-execution telemetry sink (the serial paths run in the parent;
-#: thread-local so a threaded driver's sweeps don't cross-talk).
-_INLINE = threading.local()
-
-
 @dataclass(frozen=True)
 class _TelemetryTask:
     """The picklable telemetry slice of a task tuple (probe config)."""
@@ -398,29 +378,21 @@ class _InlinePublisher:
         return ()
 
 
-def _publisher_for():
-    """The attempt's event publisher: pool channel, inline sink, or None."""
-    if _WORKER_CHANNEL is not None:
-        return WorkerPublisher(_WORKER_CHANNEL)
-    sink = getattr(_INLINE, "sink", None)
-    if sink is not None:
-        return _InlinePublisher(sink)
-    return None
-
-
-def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_TelemetryTask]]):
-    """One supervised run attempt (also the pooled worker entry point).
+def _attempt(
+    task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_TelemetryTask]],
+    publisher=None,
+):
+    """One supervised run attempt, inline or inside a pool worker.
 
     Returns a plain payload tuple instead of raising, catching at one
-    fixed stack depth whether called inline or in a worker — which is
-    what makes recorded failure tracebacks byte-identical at any
-    ``--jobs`` count:
+    fixed stack depth whichever lane runs it — which is what makes
+    recorded failure tracebacks byte-identical at any ``--jobs`` count:
 
     * ``("ok", result, wall_s, residual)`` on success;
-    * ``("error", class_name, message, traceback_text, pickle_blob,
-      wall_s, residual)`` when the run raised. ``pickle_blob`` is the
-      exception itself when it round-trips through pickle (so the
-      ``fail`` policy can re-raise the original), else None.
+    * ``("error", class_name, message, traceback_text, exc, wall_s,
+      residual)`` when the run raised. ``exc`` is the exception object
+      itself, so the ``fail`` policy can re-raise it with its genuine
+      traceback (:func:`_pooled_attempt` swaps in a pickle of it).
 
     ``residual`` (always the last element) is the tail of the run's
     telemetry stream that was still buffered at run end: carrying it in
@@ -428,13 +400,13 @@ def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_Telem
     it can never lose the race against the run being settled, which
     events still in flight on the side channel can.
 
-    ``telem`` activates the run's telemetry probe: ``RunStarted`` is
-    published on the first attempt and a :class:`ProbeSession` is
-    installed for the spec's duration (terminal events are the
-    *parent's* to emit — only it knows when a run is finally settled).
+    ``publisher`` (given when the task carries a telemetry slice)
+    activates the run's telemetry probe: ``RunStarted`` is published on
+    the first attempt and a :class:`ProbeSession` is installed for the
+    spec's duration (terminal events are the *supervisor's* to emit —
+    only it knows when a run is finally settled).
     """
     request, action, attempt, telem = task
-    publisher = _publisher_for() if telem is not None else None
     previous = None
     if publisher is not None:
         if attempt == 1:
@@ -456,13 +428,7 @@ def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_Telem
             text = "".join(
                 traceback_module.format_exception(type(exc), exc, exc.__traceback__)
             )
-            blob = None
-            try:
-                blob = pickle.dumps(exc)
-                pickle.loads(blob)
-            except Exception:
-                blob = None
-            payload = ("error", type(exc).__name__, str(exc), text, blob, wall_s)
+            payload = ("error", type(exc).__name__, str(exc), text, exc, wall_s)
         else:
             payload = ("ok", result, time.perf_counter() - started)
     finally:
@@ -472,16 +438,23 @@ def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_Telem
     return payload + (residual,)
 
 
-def _reraise_worker_error(error: str, message: str, tb: Optional[str], blob):
-    """Re-raise a worker-captured exception as itself where possible."""
-    if blob is not None:
+def _pooled_attempt(task):
+    """The pool-worker entry point: :func:`_attempt` with a picklable payload.
+
+    Publishes telemetry on the worker channel, and replaces the raised
+    exception with its pickle — or None when it does not round-trip, in
+    which case the ``fail`` policy raises :class:`WorkerRunError`.
+    """
+    publisher = WorkerPublisher(_WORKER_CHANNEL) if task[3] is not None else None
+    payload = _attempt(task, publisher)
+    if payload[0] == "error":
         try:
-            exc = pickle.loads(blob)
-        except Exception:  # pragma: no cover - defensive
-            exc = None
-        if isinstance(exc, BaseException):
-            raise exc
-    raise WorkerRunError(f"{error}: {message}\n{tb or ''}".rstrip())
+            blob = pickle.dumps(payload[4])
+            pickle.loads(blob)
+        except Exception:
+            blob = None
+        payload = payload[:4] + (blob,) + payload[5:]
+    return payload
 
 
 class _Fatal:
@@ -490,17 +463,18 @@ class _Fatal:
     Failures can complete out of request order under pooled execution;
     the ``fail`` policy still raises at the failed run's *position* in
     the batch — the same place the old order-preserving ``imap`` loop
-    raised — so earlier runs release normally first.
+    raised — so earlier runs release normally first. ``exc`` is the
+    exception itself (inline lane), its pickle (pooled lanes) or None.
     """
 
-    __slots__ = ("kind", "error", "message", "traceback", "blob", "run_id")
+    __slots__ = ("kind", "error", "message", "traceback", "exc", "run_id")
 
-    def __init__(self, kind, error, message, tb, blob, run_id):
+    def __init__(self, kind, error, message, tb, exc, run_id):
         self.kind = kind
         self.error = error
         self.message = message
         self.traceback = tb
-        self.blob = blob
+        self.exc = exc
         self.run_id = run_id
 
     def reraise(self):
@@ -508,7 +482,17 @@ class _Fatal:
             raise RunTimeoutError(f"run {self.run_id!r}: {self.message}")
         if self.kind == "worker-crash":
             raise WorkerCrashError(f"run {self.run_id!r}: {self.message}")
-        _reraise_worker_error(self.error, self.message, self.traceback, self.blob)
+        exc = self.exc
+        if isinstance(exc, bytes):
+            try:
+                exc = pickle.loads(exc)
+            except Exception:  # pragma: no cover - defensive
+                exc = None
+        if isinstance(exc, BaseException):
+            raise exc
+        raise WorkerRunError(
+            f"{self.error}: {self.message}\n{self.traceback or ''}".rstrip()
+        )
 
 
 class _TaskState:
@@ -545,12 +529,20 @@ _POLL_S = 0.05
 class SweepRunner:
     """Fan a batch of requests out over processes, deterministically.
 
-    ``jobs=1`` runs inline (no pool, no pickling) unless supervision
-    needs a separate process (a ``run_timeout``, or a fault plan that
-    can crash the worker); ``jobs>1`` uses a supervised
-    ``ProcessPoolExecutor`` dispatch loop. Completions may arrive in any
-    order, but records are *released* — and ``on_record`` fired — in
-    request order, so progress reporting and exports stay deterministic.
+    Every batch goes through one outcome loop, which settles each
+    attempt (retry, record or abort), checkpoints it and releases
+    records in request order; its *lanes* differ only in where an
+    attempt executes. The *inline* lane runs it in the calling thread,
+    with no pool and no pickling, when the release cursor reaches it:
+    chosen at ``jobs=1`` (or for a single pending run) unless
+    supervision needs a separate process (a ``run_timeout``, or a fault
+    plan that can crash the worker). Otherwise runs go to the pooled
+    *main* lane, a ``ProcessPoolExecutor``, and completions may arrive
+    in any order — but records are still *released*, and ``on_record``
+    fired, in request order, so progress reporting and exports stay
+    deterministic. Under the ``fail`` policy an inline run's exception
+    propagates as itself, genuine traceback included; a pooled run's
+    is re-raised from its pickle.
 
     The executor is created on first parallel use and *reused* across
     ``run()`` calls, so a driver issuing several sweeps (the benchmark
@@ -675,109 +667,23 @@ class SweepRunner:
             except Exception:  # pragma: no cover - already broken
                 pass
 
-    # -- execution paths ----------------------------------------------
+    # -- execution -----------------------------------------------------
 
-    def _direct_outcomes(self, pending, actions, checkpoint, telem=None, gate=None):
-        """The legacy inline path: no supervision, errors propagate raw.
-
-        Taken for ``fail``-with-no-retries at ``jobs=1`` so a raising
-        experiment keeps its genuine traceback (the "errors propagate as
-        themselves" CLI contract), exactly as before this layer existed.
-        """
-        for request, action in zip(pending, actions):
-            started = time.perf_counter()
-            previous = None
-            if gate is not None:
-                gate.emit(RunStarted(run_id=request.run_id, spec_id=request.spec_id))
-                previous = activate_probe(
-                    ProbeSession(gate.emit, request.run_id, telem.sample_interval_s)
-                )
-            try:
-                if action is not None:
-                    action.trigger(request.run_id, 1)
-                spec = get_spec(request.spec_id)
-                result = spec.run(**request.kwargs_dict)
-            except BaseException as exc:
-                if gate is not None:
-                    gate.emit(
-                        RunFailed(
-                            run_id=request.run_id,
-                            error=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    )
-                raise
-            finally:
-                if gate is not None:
-                    activate_probe(previous)
-            record = RunRecord(request, result, time.perf_counter() - started)
-            checkpoint(request, record)
-            if gate is not None:
-                gate.emit(RunFinished(run_id=request.run_id))
-            yield record
-
-    def _serial_outcomes(self, pending, actions, policy, checkpoint, telem=None, gate=None):
-        """Inline execution with failure isolation and retries."""
-        if gate is not None:
-            _INLINE.sink = gate.emit
-        try:
-            for index, request in enumerate(pending):
-                attempt = 1
-                while True:
-                    payload = _attempt((request, actions[index], attempt, telem))
-                    if payload[0] == "ok":
-                        outcome = RunRecord(request, payload[1], payload[2])
-                        break
-                    _, error, message, tb, blob, wall_s = payload[:6]
-                    if attempt <= policy.retries:
-                        delay = policy.backoff_s(attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    if policy.mode == "fail":
-                        if gate is not None:
-                            gate.emit(
-                                RunFailed(
-                                    run_id=request.run_id,
-                                    error=error,
-                                    message=message,
-                                )
-                            )
-                        _reraise_worker_error(error, message, tb, blob)
-                    outcome = RunFailure(
-                        run_id=request.run_id,
-                        spec_id=request.spec_id,
-                        kwargs=request.kwargs_dict,
-                        kind="exception",
-                        error=error,
-                        message=message,
-                        traceback=tb,
-                        attempts=attempt,
-                        wall_s=wall_s,
-                    )
-                    break
-                checkpoint(request, outcome)
-                if gate is not None:
-                    if isinstance(outcome, RunFailure):
-                        gate.emit(
-                            RunFailed(
-                                run_id=request.run_id,
-                                error=outcome.error,
-                                message=outcome.message,
-                            )
-                        )
-                    else:
-                        gate.emit(RunFinished(run_id=request.run_id))
-                yield outcome
-        finally:
-            if gate is not None:
-                _INLINE.sink = None
-
-    def _supervised_outcomes(
-        self, pending, actions, policy, run_timeout, checkpoint, telem=None, gate=None
+    def _outcomes(
+        self, pending, actions, policy, run_timeout, checkpoint, inline,
+        telem=None, gate=None,
     ):
-        """Pooled execution under supervision; yields outcomes in order.
+        """The one outcome loop; yields outcomes in ``pending`` order.
+
+        It alone owns attempt counting, retry backoff, ``fail`` versus
+        ``continue`` folding, checkpointing, terminal telemetry events
+        and in-order release. Lanes differ only in how an attempt
+        executes: with ``inline`` every run executes in the calling
+        thread when the release cursor reaches it (so records,
+        checkpoints and a fail-fast abort land exactly where a serial
+        loop puts them); otherwise runs go to the pooled ``main`` lane,
+        and crash suspects and crash/timeout retries to the one-worker
+        ``quarantine`` lane.
 
         Outcomes (``RunRecord`` or ``RunFailure``) are buffered as
         completions arrive and yielded strictly in ``pending`` order;
@@ -792,6 +698,8 @@ class SweepRunner:
         ready: Dict[int, object] = {}  # index -> RunRecord | RunFailure | _Fatal
         backlog: List[Tuple[float, int, str]] = []  # (due, index, lane name)
         lanes: Dict[str, _Lane] = {}
+        deferred = set()  # inline-lane runs waiting for the release cursor
+        publisher = _InlinePublisher(gate.emit) if inline and gate is not None else None
         completed = False
 
         def drain_telemetry(grace: bool = False):
@@ -801,8 +709,9 @@ class SweepRunner:
             # run's stream: a batch the worker flushed just before
             # returning can still sit in the channel's feeder thread
             # when the result future completes, so wait a beat and
-            # drain once more before closing the door on it.
-            if gate is not None and self._channel is not None:
+            # drain once more before closing the door on it. (Inline
+            # runs publish straight to the gate: no channel to drain.)
+            if gate is not None and not inline and self._channel is not None:
                 drain_channel(self._channel, gate.emit)
                 if grace:
                     time.sleep(0.002)
@@ -823,18 +732,22 @@ class SweepRunner:
                     gate.emit(RunFinished(run_id=request.run_id))
                 ready[index] = record
             else:
-                _, error, message, tb, blob, wall_s = payload[:6]
-                charge(index, "exception", error, message, tb, blob, wall_s)
+                _, error, message, tb, exc, wall_s = payload[:6]
+                charge(index, "exception", error, message, tb, exc, wall_s)
 
-        def charge(index, kind, error, message, tb, blob, wall_s):
+        def charge(index, kind, error, message, tb, exc, wall_s):
             state = states[index]
             if state.attempt <= policy.retries:
                 delay = policy.backoff_s(state.attempt)
                 state.attempt += 1
-                # Exception retries go back to the main lane; timeout and
-                # crash retries run quarantined so a persistently poison
-                # run cannot keep taking the shared pool down.
-                lane_name = "main" if kind == "exception" else "quarantine"
+                # Inline retries stay inline. Pooled exception retries go
+                # back to the main lane; timeout and crash retries run
+                # quarantined so a persistently poison run cannot keep
+                # taking the shared pool down.
+                if inline:
+                    lane_name = "inline"
+                else:
+                    lane_name = "main" if kind == "exception" else "quarantine"
                 backlog.append((time.monotonic() + delay, index, lane_name))
                 return
             request = pending[index]
@@ -849,7 +762,7 @@ class SweepRunner:
                     )
                 )
             if policy.mode == "fail":
-                ready[index] = _Fatal(kind, error, message, tb, blob, request.run_id)
+                ready[index] = _Fatal(kind, error, message, tb, exc, request.run_id)
                 return
             failure = RunFailure(
                 run_id=request.run_id,
@@ -943,6 +856,9 @@ class SweepRunner:
                 backlog.append((0.0, index, lane_name))
 
         def submit(lane_name, index):
+            if lane_name == "inline":
+                deferred.add(index)
+                return
             for _ in range(2):
                 lane = lanes.get(lane_name)
                 if lane is None:
@@ -956,7 +872,8 @@ class SweepRunner:
                 state.timed_out = False
                 try:
                     future = lane.executor.submit(
-                        _attempt, (pending[index], state.action, state.attempt, telem)
+                        _pooled_attempt,
+                        (pending[index], state.action, state.attempt, telem),
                     )
                 except BrokenExecutor:
                     # A worker died while idle; rebuild the lane once.
@@ -971,7 +888,7 @@ class SweepRunner:
         next_index = 0
         try:
             for index in range(n):
-                submit("main", index)
+                submit("inline" if inline else "main", index)
             while next_index < n:
                 while next_index in ready:
                     outcome = ready.pop(next_index)
@@ -981,6 +898,12 @@ class SweepRunner:
                     yield outcome
                 if next_index >= n:
                     break
+                if next_index in deferred:
+                    deferred.discard(next_index)
+                    state = states[next_index]
+                    task = (pending[next_index], state.action, state.attempt, telem)
+                    settle(next_index, _attempt(task, publisher))
+                    continue
                 now = time.monotonic()
                 due = [entry for entry in backlog if entry[0] <= now]
                 if due:
@@ -993,7 +916,7 @@ class SweepRunner:
                         next_due = min(entry[0] for entry in backlog)
                         time.sleep(min(_POLL_S, max(0.0, next_due - now)))
                         continue
-                    if ready:
+                    if ready or deferred:
                         continue
                     raise RuntimeError(  # pragma: no cover - invariant
                         "sweep supervisor stalled with no work in flight"
@@ -1138,7 +1061,6 @@ class SweepRunner:
             raise ValueError(
                 "duplicate run ids in batch: " + ", ".join(sorted(dupes))
             )
-        fault_after = int(os.environ.get(FAULT_ENV, "0") or 0)
         gate = None
         telem = None
         if telemetry is not None and telemetry.attached:
@@ -1165,24 +1087,12 @@ class SweepRunner:
         needs_worker = run_timeout is not None or any(
             action is not None and action.kind == "crash" for action in actions
         )
-        if not pending:
-            outcomes = iter(())
-        elif (self.jobs == 1 or len(pending) <= 1) and not needs_worker:
-            if policy.mode == "fail" and policy.retries == 0:
-                outcomes = self._direct_outcomes(
-                    pending, actions, checkpoint, telem=telem, gate=gate
-                )
-            else:
-                outcomes = self._serial_outcomes(
-                    pending, actions, policy, checkpoint, telem=telem, gate=gate
-                )
-        else:
-            outcomes = self._supervised_outcomes(
-                pending, actions, policy, run_timeout, checkpoint,
-                telem=telem, gate=gate,
-            )
+        inline = (self.jobs == 1 or len(pending) <= 1) and not needs_worker
+        outcomes = self._outcomes(
+            pending, actions, policy, run_timeout, checkpoint, inline,
+            telem=telem, gate=gate,
+        )
         records: List[RunRecord] = []
-        executed = 0
         try:
             for request in requests:
                 record = cached.get(request.run_id)
@@ -1194,7 +1104,6 @@ class SweepRunner:
                         )
                     else:
                         record = outcome
-                    executed += 1
                 elif gate is not None:
                     # A cache hit never executes: its stream is the
                     # immediate two-event form, emitted at release time.
@@ -1205,18 +1114,11 @@ class SweepRunner:
                 if on_record is not None:
                     on_record(record)
                 records.append(record)
-                if not record.cached and fault_after and executed >= fault_after:
-                    raise InjectedSweepFault(
-                        f"injected fault after {executed} executed run(s) "
-                        f"({FAULT_ENV}={fault_after})"
-                    )
         except BaseException:
-            # Error path (including KeyboardInterrupt and the legacy
-            # injected kill hook): terminate the in-flight batch so no
-            # worker is left computing runs nobody will collect.
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+            # Error path (including KeyboardInterrupt): terminate the
+            # in-flight batch so no worker is left computing runs nobody
+            # will collect.
+            outcomes.close()
             raise
         if store is not None:
             store.finalize(records)

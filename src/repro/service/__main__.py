@@ -32,8 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="URL",
         help="shared result store all jobs checkpoint into: "
-        "sqlite:runs.sqlite | dir:results/ (bare paths dispatch on "
-        "suffix, like the sweep CLI's --store)",
+        "sqlite:PATH | dir:PATH, like the sweep CLI's --store",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -78,13 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     jobs = default_jobs() if args.jobs == 0 else args.jobs
-    service = SweepService(
-        args.store,
-        jobs=jobs,
-        default_on_error=args.on_error,
-        default_run_timeout=args.run_timeout,
-        mp_context=args.mp_context,
-    ).start()
+    try:
+        service = SweepService(
+            args.store,
+            jobs=jobs,
+            default_on_error=args.on_error,
+            default_run_timeout=args.run_timeout,
+            mp_context=args.mp_context,
+        ).start()
+    except ValueError as error:  # a bad --store url, policy or timeout
+        print(error, file=sys.stderr)
+        return 2
     server = serve(ServiceApp(service), args.host, args.port, quiet=args.quiet)
     host, port = server.server_address[:2]
     print(

@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import (
     ErrorPolicy,
-    InjectedSweepFault,
     RunTimeoutError,
     SweepRunner,
     WorkerCrashError,
@@ -129,8 +128,8 @@ class Job:
     consistent snapshots through :meth:`to_json_dict`. ``exit_code``
     mirrors the CLI's exit ladder so a job status reads like a ``sweep``
     invocation: 0 done, 1 aborted by a timeout/crash/exception under
-    ``fail``, 3 the legacy injected kill, 4 completed under ``continue``
-    with failures, 130 cancelled before it ran.
+    ``fail``, 4 completed under ``continue`` with failures, 130
+    cancelled before it ran.
     """
 
     def __init__(
@@ -280,6 +279,9 @@ class SweepService:
         if default_run_timeout is not None and default_run_timeout <= 0:
             raise ValueError("run_timeout must be positive")
         ErrorPolicy.parse(default_on_error)  # validate eagerly
+        # Opened for real on the scheduler thread (sqlite thread
+        # affinity); open it here too so a bad url fails the caller.
+        open_store(store_url).close()
         self.store_url = store_url
         self.jobs = jobs
         self.default_on_error = default_on_error
@@ -501,10 +503,6 @@ class SweepService:
                 faults=job.faults,
                 telemetry=hub,
             )
-        except InjectedSweepFault as error:
-            with self._lock:
-                job.fail(str(error), exit_code=3)
-                self._events.notify_all()
         except (RunTimeoutError, WorkerCrashError) as error:
             with self._lock:
                 job.fail(str(error), exit_code=1)

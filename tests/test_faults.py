@@ -31,6 +31,7 @@ from repro.experiments.runner import (
     RunTimeoutError,
     SweepRunner,
     WorkerCrashError,
+    WorkerRunError,
     request_for,
 )
 from repro.experiments.specs import ParameterValueError
@@ -231,6 +232,69 @@ class TestRaisingRuns:
             with pytest.raises(InjectedFault):
                 runner.run([bad], faults=plan)
 
+    def test_inline_lane_runs_at_the_release_cursor(self, monkeypatch):
+        # jobs=1: every attempt, retries included, runs in this process
+        # (no pool is built), and a run starts only once the run before
+        # it has been released.
+        log = []
+        trigger = FaultAction.trigger
+
+        def logging_trigger(action, run_id, attempt):
+            log.append(("attempt", run_id, attempt))
+            trigger(action, run_id, attempt)
+
+        monkeypatch.setattr(FaultAction, "trigger", logging_trigger)
+        requests = fast_requests((1, 2))
+        with SweepRunner(jobs=1) as runner:
+            runner.run(
+                requests,
+                policy=RETRY_2,
+                faults=FaultPlan.parse("*=raise/1"),
+                on_record=lambda r: log.append(("record", r.request.run_id)),
+            )
+            assert runner._executor is None
+        expected = []
+        for request in requests:
+            expected += [
+                ("attempt", request.run_id, 1),
+                ("attempt", request.run_id, 2),
+                ("record", request.run_id),
+            ]
+        assert log == expected
+
+    def test_fail_policy_inline_raises_the_run_exception_itself(self, monkeypatch):
+        # The inline lane under `fail`: the very exception object raised
+        # inside the run propagates, its traceback reaching into the
+        # fault harness, never wrapped or rebuilt from a pickle.
+        raised = []
+        trigger = FaultAction.trigger
+
+        def recording_trigger(action, run_id, attempt):
+            try:
+                trigger(action, run_id, attempt)
+            except InjectedFault as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(FaultAction, "trigger", recording_trigger)
+        bad = request_for("stability", dict(FAST, seed=1))
+        with SweepRunner(jobs=1) as runner:
+            with pytest.raises(InjectedFault) as excinfo:
+                runner.run([bad], policy="fail", faults=FaultPlan.parse("*=raise"))
+        error = excinfo.value
+        assert len(raised) == 1 and error is raised[0]
+        codes = []
+        tb = error.__traceback__
+        while tb is not None:
+            codes.append(tb.tb_frame.f_code)
+            tb = tb.tb_next
+        assert trigger.__code__ in codes
+        chain, link = [], error
+        while link is not None and link not in chain:
+            chain.append(link)
+            link = link.__cause__ or link.__context__
+        assert not any(isinstance(link, WorkerRunError) for link in chain)
+
 
 class TestDuplicateRunIds:
     def test_error_names_the_offenders(self):
@@ -405,7 +469,7 @@ class TestFailureStores:
 
 class TestResumeAfterFailures:
     def test_resume_executes_only_failed_runs(self, tmp_path):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         plan = FaultPlan.parse("1=raise")
         with open_store(store_path) as store, SweepRunner() as runner:
             runner.run(fast_requests(), policy="continue", faults=plan, store=store)
@@ -423,7 +487,7 @@ class TestResumeAfterFailures:
             ]
             assert store.failures() == []
         # the resumed store equals an uninterrupted sweep's
-        with open_store(str(tmp_path / "ref.sqlite")) as ref, SweepRunner() as runner:
+        with open_store(f"sqlite:{tmp_path / 'ref.sqlite'}") as ref, SweepRunner() as runner:
             runner.run(fast_requests(), store=ref)
             with open_store(store_path) as resumed:
                 assert resumed.digest() == ref.digest()
@@ -437,7 +501,7 @@ class TestResumeAfterFailures:
         trees = {}
         for jobs in (1, 4):
             out = tmp_path / f"jobs{jobs}"
-            with open_store(str(out)) as store, SweepRunner(jobs=jobs) as runner:
+            with open_store(f"dir:{out}") as store, SweepRunner(jobs=jobs) as runner:
                 runner.run(
                     fast_requests(), policy="continue", faults=plan, store=store
                 )
@@ -461,10 +525,10 @@ class TestResumeAfterFailures:
             )
             assert {f["kind"] for f in failures} == {"exception", "worker-crash"}
         # resume one tree to completion: byte-identical to uninterrupted
-        with open_store(str(trees[1])) as store, SweepRunner() as runner:
+        with open_store(f"dir:{trees[1]}") as store, SweepRunner() as runner:
             runner.run(fast_requests(), store=store)
         ref = tmp_path / "ref"
-        with open_store(str(ref)) as store, SweepRunner() as runner:
+        with open_store(f"dir:{ref}") as store, SweepRunner() as runner:
             runner.run(fast_requests(), store=store)
         assert not (trees[1] / "failures.json").exists()
         assert not (trees[1] / ".sweep-checkpoint.json").exists()
@@ -638,7 +702,7 @@ class TestCLI:
     def test_store_resume_after_failures(self, capsys, tmp_path):
         from repro.experiments.__main__ import main
 
-        store = str(tmp_path / "store.sqlite")
+        store = f"sqlite:{tmp_path / 'store.sqlite'}"
         code = main(self.sweep_argv(
             "--fault-plan", "1=raise", "--on-error", "continue",
             "--store", store,
@@ -650,10 +714,17 @@ class TestCLI:
         assert code == 0
         assert "2 cache hit(s), 1 executed" in capsys.readouterr().err
 
-    def test_legacy_kill_hook_still_exits_3(self, capsys, monkeypatch, tmp_path):
+    def test_fault_plan_abort_keeps_prior_runs(self, tmp_path):
+        # `--fault-plan N=raise` under the default fail policy stops the
+        # sweep at run N: the run's exception propagates, and the store
+        # holds exactly the runs before it.
         from repro.experiments.__main__ import main
 
-        monkeypatch.setenv("REPRO_SWEEP_FAULT_AFTER", "1")
-        code = main(self.sweep_argv("--store", str(tmp_path / "s.sqlite")))
-        assert code == 3
-        assert "injected fault after 1 executed run(s)" in capsys.readouterr().err
+        store = f"sqlite:{tmp_path / 's.sqlite'}"
+        with pytest.raises(InjectedFault, match="raised"):
+            main(self.sweep_argv("--store", store, "--fault-plan", "2=raise"))
+        with open_store(store) as opened:
+            assert opened.keys() == sorted(
+                request_key(request) for request in fast_requests((1, 2))
+            )
+            assert opened.failures() == []

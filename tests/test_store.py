@@ -2,7 +2,7 @@
 
 Covers content-key identity (spelling-independent dedupe), both
 backends' put/get/index primitives, checkpoint/resume through
-SweepRunner/Study (including the injected kill hook), lazy streaming
+SweepRunner/Study (including sweeps aborted by a fault plan), lazy streaming
 aggregation over a store, torn-checkpoint recovery, and the CLI
 ``--store``/``--resume`` surfaces.
 """
@@ -15,15 +15,16 @@ import warnings
 import pytest
 
 from repro.experiments.__main__ import main
+from repro.experiments.export import export_records
+from repro.experiments.faults import FaultPlan, InjectedFault
 from repro.experiments.runner import (
-    FAULT_ENV,
-    InjectedSweepFault,
     RunRecord,
     SweepRunner,
     _grid_requests,
     execute_request,
     request_for,
 )
+from repro.experiments.specs import ParameterValueError
 from repro.results import (
     DirectoryStore,
     ResultLoadError,
@@ -236,25 +237,26 @@ class TestSqliteBackend:
         assert results.runs[0].param("seed") == 3
         store.close()
 
-    def test_open_store_picks_backend(self, tmp_path):
-        # The bare-path suffix shim still dispatches — but now under a
-        # DeprecationWarning steering callers to explicit schemes.
-        with pytest.warns(DeprecationWarning, match="explicit scheme"):
-            assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteStore)
-        with pytest.warns(DeprecationWarning, match="suffix-based"):
-            assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(str(tmp_path / "tree")), DirectoryStore)
-        # An existing regular file is sqlite regardless of suffix.
+    def test_open_store_rejects_bare_paths(self, tmp_path, capsys):
+        # No suffix dispatch: a url without a known scheme — a bare path,
+        # an existing sqlite file, or an unknown prefix such as a Windows
+        # drive letter — is an input error, and the CLI exits 2.
         path = str(tmp_path / "noext")
         SqliteStore(path).close()
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(path), SqliteStore)
+        for url in (str(tmp_path / "a.sqlite"), path, f"file:{tmp_path / 'x'}"):
+            with pytest.raises(ParameterValueError, match="sqlite:PATH or dir:PATH"):
+                open_store(url)
+        assert not (tmp_path / "a.sqlite").exists()
+        argv = ["run", "stability", "--set", "slots=1500", "--set", "trials=15"]
+        assert main([*argv, "--store", str(tmp_path / "b.sqlite")]) == 2
+        assert "expected sqlite:PATH or dir:PATH" in capsys.readouterr().err
+        # The service CLI rejects one before it starts serving.
+        from repro.service.__main__ import main as service_main
 
-    def test_open_store_explicit_schemes(self, tmp_path, monkeypatch):
-        # The unknown-prefix case below resolves "file:..." as a
-        # relative path; run from tmp_path so the litter lands there.
-        monkeypatch.chdir(tmp_path)
+        assert service_main(["--store", str(tmp_path / "c.sqlite")]) == 2
+        assert "expected sqlite:PATH or dir:PATH" in capsys.readouterr().err
+
+    def test_open_store_explicit_schemes(self, tmp_path):
         # Schemes override suffix dispatch entirely: sqlite: forces the
         # sqlite backend on any path, dir: forces a tree even on a
         # .sqlite-looking path — and neither spelling warns.
@@ -270,11 +272,6 @@ class TestSqliteBackend:
                 open_store("sqlite:")
             with pytest.raises(ValueError, match="empty path"):
                 open_store("dir:")
-        # Unknown prefixes are not schemes — they fall through to the
-        # (deprecated) bare-path shim, so Windows drive letters stay
-        # directory paths.
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(f"file:{tmp_path / 'x'}"), DirectoryStore)
 
     def test_study_run_accepts_store_urls(self, tmp_path):
         url = f"sqlite:{tmp_path / 'runs.sqlite'}"
@@ -348,6 +345,40 @@ def _tree_files(root):
     return sorted(found)
 
 
+def _tree_bytes(root):
+    """Every file's bytes by relative path, the manifest minus timing."""
+    tree = {}
+    for rel in _tree_files(root):
+        with open(os.path.join(root, rel), "rb") as handle:
+            tree[rel] = handle.read()
+    manifest = json.loads(tree.pop("manifest.json"))
+    manifest.pop("timing")
+    tree["manifest.json"] = manifest
+    return tree
+
+
+class TestSeriesOrder:
+    @pytest.mark.parametrize("scheme", ["sqlite", "dir"])
+    def test_cached_export_equals_fresh_with_twelve_series(self, tmp_path, scheme):
+        # Twelve hop series: sorted JSON keys put hop10 before hop2, so
+        # a stored run comes back in a different insertion order.
+        fresh = fast_record(seed=3)
+        fresh.result.series.clear()
+        for hop in range(12):
+            fresh.result.series[f"occupancy.hop{hop}"] = [(0.0, hop), (1.0, hop + 1)]
+        with open_store(f"{scheme}:{tmp_path / 'store'}") as store:
+            store.put(fresh)
+            cached = store.get(fresh.request)
+        assert cached is not None and cached.cached
+        assert list(cached.result.series) != list(fresh.result.series)
+        export_records([fresh], str(tmp_path / "fresh"))
+        export_records([cached], str(tmp_path / "cached"))
+        assert _tree_bytes(tmp_path / "cached") == _tree_bytes(tmp_path / "fresh")
+        with open(tmp_path / "fresh" / "EXPERIMENTS.md") as handle:
+            index = handle.read()
+        assert index.index("`occupancy.hop2`") < index.index("`occupancy.hop10`")
+
+
 class TestSweepResume:
     def test_second_run_is_all_cache_hits(self, store):
         requests = [fast_request(seed=s) for s in (3, 4, 5)]
@@ -368,28 +399,36 @@ class TestSweepResume:
         )
         assert seen == [r.run_id for r in requests]
 
-    def test_injected_fault_stops_after_n_executed(self, store, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "2")
+    def test_injected_fault_stops_after_n_executed(self, store):
         requests = [fast_request(seed=s) for s in (3, 4, 5)]
-        with pytest.raises(InjectedSweepFault):
-            SweepRunner(jobs=1).run(requests, store=store)
+        with pytest.raises(InjectedFault):
+            SweepRunner(jobs=1).run(
+                requests, store=store, faults=FaultPlan.parse("2=raise")
+            )
         assert len(store) == 2
 
-    def test_cache_hits_do_not_count_toward_fault(self, store, monkeypatch):
+    def test_cache_hits_do_not_count_toward_fault(self, store):
         requests = [fast_request(seed=s) for s in (3, 4, 5)]
-        SweepRunner(jobs=1).run(requests, store=store)
-        monkeypatch.setenv(FAULT_ENV, "1")
+        SweepRunner(jobs=1).run(requests[1:2], store=store)  # pre-warm seed=4
+        # The plan names a cached position: a hit never executes, so it
+        # never fires, and the runs around it execute normally.
+        records = SweepRunner(jobs=1).run(
+            requests, store=store, faults=FaultPlan.parse("1=raise")
+        )
+        assert [record.cached for record in records] == [False, True, False]
         # All requests cached: nothing executes, so no fault fires.
-        records = SweepRunner(jobs=1).run(requests, store=store)
+        records = SweepRunner(jobs=1).run(
+            requests, store=store, faults=FaultPlan.parse("*=raise")
+        )
         assert all(record.cached for record in records)
 
-    def test_resumed_store_equals_uninterrupted(self, tmp_path, monkeypatch):
+    def test_resumed_store_equals_uninterrupted(self, tmp_path):
         requests = [fast_request(seed=s) for s in (3, 4, 5, 6)]
         interrupted = SqliteStore(str(tmp_path / "interrupted.sqlite"))
-        monkeypatch.setenv(FAULT_ENV, "2")
-        with pytest.raises(InjectedSweepFault):
-            SweepRunner(jobs=1).run(requests, store=interrupted)
-        monkeypatch.delenv(FAULT_ENV)
+        with pytest.raises(InjectedFault):
+            SweepRunner(jobs=1).run(
+                requests, store=interrupted, faults=FaultPlan.parse("2=raise")
+            )
         resumed = SweepRunner(jobs=1).run(requests, store=interrupted)
         assert sum(record.cached for record in resumed) == 2
 
@@ -402,14 +441,14 @@ class TestSweepResume:
             reference.close()
 
     @pytest.mark.slow
-    def test_resume_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_resume_parallel_matches_serial(self, tmp_path):
         requests = [fast_request(seed=s) for s in (3, 4, 5, 6)]
         parallel = SqliteStore(str(tmp_path / "parallel.sqlite"))
-        monkeypatch.setenv(FAULT_ENV, "2")
         with SweepRunner(jobs=2) as runner:
-            with pytest.raises(InjectedSweepFault):
-                runner.run(requests, store=parallel)
-            monkeypatch.delenv(FAULT_ENV)
+            with pytest.raises(InjectedFault):
+                runner.run(
+                    requests, store=parallel, faults=FaultPlan.parse("2=raise")
+                )
             runner.run(requests, store=parallel)
         serial = SqliteStore(str(tmp_path / "serial.sqlite"))
         SweepRunner(jobs=1).run(requests, store=serial)
@@ -484,7 +523,7 @@ class TestCLI:
         assert "--resume requires --store" in capsys.readouterr().err
 
     def test_sweep_store_reports_hits(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         assert main(self.sweep_argv("--store", store_path)) == 0
         assert "2 executed" in capsys.readouterr().err
         assert main(self.sweep_argv("--store", store_path, "--resume")) == 0
@@ -492,12 +531,11 @@ class TestCLI:
         assert "[resuming]" in err
         assert "2 cache hit(s), 0 executed" in err
 
-    def test_fault_exit_code_then_resume(self, tmp_path, capsys, monkeypatch):
-        store_path = str(tmp_path / "store.sqlite")
-        monkeypatch.setenv(FAULT_ENV, "1")
-        assert main(self.sweep_argv("--store", store_path)) == 3
-        assert "injected fault after 1 executed" in capsys.readouterr().err
-        monkeypatch.delenv(FAULT_ENV)
+    def test_fault_abort_then_resume(self, tmp_path, capsys):
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
+        with pytest.raises(InjectedFault, match="raised"):
+            main(self.sweep_argv("--store", store_path, "--fault-plan", "1=raise"))
+        capsys.readouterr()
         out = str(tmp_path / "out")
         assert (
             main(self.sweep_argv("--store", store_path, "--resume", "--out", out))
@@ -507,7 +545,7 @@ class TestCLI:
         assert os.path.isfile(os.path.join(out, "manifest.json"))
 
     def test_run_accepts_store(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         argv = [
             "run",
             "stability",
@@ -541,7 +579,7 @@ class TestCLI:
             "--grid",
             "algorithm=none,ezflow",
             "--store",
-            store_path,
+            f"sqlite:{store_path}",
         ]
         assert main(sweep) == 0
         capsys.readouterr()
